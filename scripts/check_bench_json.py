@@ -20,7 +20,7 @@ def fail(path, message):
     return False
 
 
-def check_micro_exchange_run(path, index, run):
+def check_micro_exchange_run(path, index, run, meta):
     """Routing-kernel ablation runs carry the ablation axes explicitly:
     which kernel ran, the run-length regime of the stream, the stratum
     count, and the headline records/s."""
@@ -43,21 +43,51 @@ def check_micro_exchange_run(path, index, run):
     return ok
 
 
-def check_micro_sketches_run(path, index, run):
+MICRO_SKETCHES_PATHS = {
+    "sketch": ("update", "slide_state"),
+    "sample": ("oasrs",),
+}
+
+
+def micro_sketches_bound(meta, sketch):
+    """The configured error bound of a sketch row, from the file's meta:
+    Count-Min additive error <= eps, quantile relative error <= alpha,
+    HyperLogLog relative error <= 3 standard errors (3 * 1.04 / sqrt(m)).
+    None when the meta lacks the sizing key."""
+    try:
+        if sketch == "count_min":
+            return float(meta["cm_epsilon"])
+        if sketch == "kll":
+            return float(meta["quantile_alpha"])
+        if sketch == "hll":
+            return 3.0 * 1.04 / float(meta["hll_registers"]) ** 0.5
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        return None
+    return None
+
+
+def check_micro_sketches_run(path, index, run, meta):
     """Sketch-vs-sample ablation runs carry the ablation axes explicitly:
-    which method answered (full-stream sketch or OASRS sample), which
-    sketch kind the row ablates, the key universe ('strata'), the headline
-    records/s, and the measured error against the exact stream answer."""
+    which method answered (full-stream sketch or OASRS sample), which code
+    path was timed, which sketch kind the row ablates, the key universe
+    ('strata'), the headline records/s, and the measured error against the
+    exact stream answer. A sketch row whose error exceeds its configured
+    bound fails: the bound is the sketch's guarantee, not an aspiration."""
     ok = True
-    for key in ("method", "sketch", "strata", "records_per_sec",
+    for key in ("method", "path", "sketch", "strata", "records_per_sec",
                 "measured_error"):
         if key not in run:
             ok = fail(path, f"runs[{index}] missing key '{key}'")
     if not ok:
         return False
-    if run["method"] not in ("sketch", "sample"):
-        ok = fail(path, f"runs[{index}].method = {run['method']!r} is not "
+    method = run["method"]
+    if method not in MICRO_SKETCHES_PATHS:
+        ok = fail(path, f"runs[{index}].method = {method!r} is not "
                         "'sketch' or 'sample'")
+    elif run["path"] not in MICRO_SKETCHES_PATHS[method]:
+        ok = fail(path, f"runs[{index}].path = {run['path']!r} is not one of "
+                        f"{MICRO_SKETCHES_PATHS[method]} for method "
+                        f"{method!r}")
     if run["sketch"] not in ("count_min", "hll", "kll"):
         ok = fail(path, f"runs[{index}].sketch = {run['sketch']!r} is not "
                         "'count_min', 'hll' or 'kll'")
@@ -68,20 +98,31 @@ def check_micro_sketches_run(path, index, run):
         ok = fail(path, f"runs[{index}].records_per_sec = {rps!r} is not > 0")
     error = run["measured_error"]
     if not isinstance(error, (int, float)) or error < 0:
-        ok = fail(path, f"runs[{index}].measured_error = {error!r} is not a "
-                        "number >= 0")
+        return fail(path, f"runs[{index}].measured_error = {error!r} is not "
+                          "a number >= 0")
+    if ok and method == "sketch":
+        bound = micro_sketches_bound(meta, run["sketch"])
+        if bound is None:
+            ok = fail(path, f"runs[{index}]: meta lacks the sizing of "
+                            f"sketch {run['sketch']!r}")
+        elif error > bound:
+            ok = fail(path, f"runs[{index}] ({run['mode']}, "
+                            f"{run['sketch']}, strata {run['strata']}): "
+                            f"measured_error {error:.6g} exceeds its "
+                            f"configured bound {bound:.6g}")
     return ok
 
 
-# Benchmark-specific run validators, keyed by the 'benchmark' field. Every
-# run still passes the universal envelope checks in check_run first.
+# Benchmark-specific run validators, keyed by the 'benchmark' field and
+# called with the file's 'meta' object. Every run still passes the universal
+# envelope checks in check_run first.
 RUN_CHECKS = {
     "micro_exchange": check_micro_exchange_run,
     "micro_sketches": check_micro_sketches_run,
 }
 
 
-def check_run(path, index, run, benchmark=None):
+def check_run(path, index, run, benchmark=None, meta=None):
     ok = True
     if not isinstance(run, dict):
         return fail(path, f"runs[{index}] is not an object")
@@ -111,7 +152,7 @@ def check_run(path, index, run, benchmark=None):
         ok = fail(path, f"runs[{index}].watermark_lag is not an object")
     extra = RUN_CHECKS.get(benchmark)
     if extra is not None:
-        ok = extra(path, index, run) and ok
+        ok = extra(path, index, run, meta or {}) and ok
     return ok
 
 
@@ -135,7 +176,8 @@ def check_file(path):
     if not isinstance(runs, list) or not runs:
         return fail(path, "'runs' missing, not an array, or empty")
     for index, run in enumerate(runs):
-        ok = check_run(path, index, run, data.get("benchmark")) and ok
+        ok = check_run(path, index, run, data.get("benchmark"),
+                       data.get("meta")) and ok
     if ok:
         print(f"OK   {path}: {len(runs)} runs")
     return ok

@@ -169,7 +169,7 @@ struct ShardedRunStats {
   std::uint64_t sampler_skipped = 0;
   /// Exchange routing totals (exchange mode, summed over shards): polling
   /// rounds that routed data and records routed, plus the bulk kernel's
-  /// cost accounting — same-stratum runs walked by pass 1, StratumTable
+  /// cost accounting — same-stratum runs walked by pass 1, stratum-table
   /// slot probes, and pass-2 destination reserves. The kernel fields stay 0
   /// when bulk_exchange_routing is false (or in group mode, which has no
   /// exchange).

@@ -5,8 +5,8 @@
 
 #include "common/backoff.h"
 #include "common/clock.h"
+#include "common/flat_set.h"
 #include "core/watermark.h"
-#include "ingest/stratum_table.h"
 
 namespace streamapprox::ingest {
 
@@ -54,10 +54,10 @@ void Exchange::run() {
   // Stratum-occupancy bookkeeping for the budget split: this thread sees
   // every record in deterministic order, so the counts stamped onto batches
   // are reproducible regardless of downstream thread timing. The bulk path
-  // keeps occupancy in the flat StratumTable (one probe chain per run
+  // keeps occupancy in a flat FlatU64Set (one probe chain per run
   // boundary); the legacy path keeps the original per-record unordered_set.
   std::unordered_set<sampling::StratumId> strata_seen;
-  StratumTable strata_table;
+  FlatU64Set strata_table;
   std::vector<std::uint32_t> channel_strata(workers, 0);
   // The last watermark each channel was told, so heartbeats only go to
   // channels that would otherwise fall behind.

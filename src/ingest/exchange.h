@@ -84,7 +84,7 @@ struct ExchangeStats {
   std::uint64_t records = 0;
   /// Same-stratum runs walked by the bulk kernel's pass 1.
   std::uint64_t runs = 0;
-  /// StratumTable slot inspections (one probe chain per run boundary).
+  /// Stratum-table (FlatU64Set) slot inspections (one probe chain per run boundary).
   std::uint64_t table_probes = 0;
   /// Destination-batch reserve calls made by pass 2 (one per channel that
   /// received data from a polled batch).

@@ -37,23 +37,27 @@ SlideSketchState SlideSketchState::make(const SketchSpec& spec) {
 void SlideSketchState::absorb(const engine::Record* records, std::size_t n) {
   seen += n;
   switch (spec.kind) {
-    case SketchSpec::Kind::kCountMin:
+    case SketchSpec::Kind::kCountMin: {
+      CountMinSketch& sketch = *count_min;
       for (std::size_t i = 0; i < n; ++i) {
         const std::uint64_t key = sketch_key(spec, records[i]);
-        count_min->update(key);
+        sketch.update(key);
         candidates.insert(key);
       }
       break;
-    case SketchSpec::Kind::kHyperLogLog:
+    }
+    case SketchSpec::Kind::kHyperLogLog: {
+      HyperLogLog& sketch = *hll;
       for (std::size_t i = 0; i < n; ++i) {
-        hll->add(sketch_key(spec, records[i]));
+        sketch.add(sketch_key(spec, records[i]));
       }
       break;
-    case SketchSpec::Kind::kQuantile:
-      for (std::size_t i = 0; i < n; ++i) {
-        quantile->update(records[i].value);
-      }
+    }
+    case SketchSpec::Kind::kQuantile: {
+      QuantileSketch& sketch = *quantile;
+      for (std::size_t i = 0; i < n; ++i) sketch.update(records[i].value);
       break;
+    }
   }
 }
 
@@ -61,7 +65,7 @@ void SlideSketchState::merge(const SlideSketchState& other) {
   seen += other.seen;
   if (count_min && other.count_min) {
     count_min->merge(*other.count_min);
-    candidates.insert(other.candidates.begin(), other.candidates.end());
+    candidates.insert_all(other.candidates);
   }
   if (hll && other.hll) hll->merge(*other.hll);
   if (quantile && other.quantile) quantile->merge(*other.quantile);

@@ -14,9 +14,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
+#include "common/flat_set.h"
 #include "engine/record.h"
 #include "sketch/sketches.h"
 
@@ -89,7 +89,7 @@ struct SlideSketchState {
   /// detect specs attached after some workers already opened the slide).
   std::uint64_t seen = 0;
   std::optional<CountMinSketch> count_min;
-  std::unordered_set<std::uint64_t> candidates;
+  FlatU64Set candidates;
   std::optional<HyperLogLog> hll;
   std::optional<QuantileSketch> quantile;
 

@@ -70,9 +70,9 @@ core::QueryOutput SketchSink::evaluate(const engine::WindowResult& window) {
   switch (spec_.kind) {
     case SketchSpec::Kind::kCountMin: {
       answer.heavy_hitters.reserve(merged.candidates.size());
-      for (const std::uint64_t key : merged.candidates) {
+      merged.candidates.for_each([&](std::uint64_t key) {
         answer.heavy_hitters.emplace_back(key, merged.count_min->estimate(key));
-      }
+      });
       // Deterministic order: estimate desc, key asc — ties cannot depend on
       // the (unordered) candidate-set iteration order.
       std::sort(answer.heavy_hitters.begin(), answer.heavy_hitters.end(),

@@ -45,19 +45,11 @@ CountMinSketch::CountMinSketch(std::size_t width, std::size_t depth,
     throw std::invalid_argument("count-min width and depth must be positive");
   }
   counters_.assign(width_ * depth_, 0);
-}
-
-std::size_t CountMinSketch::index(std::size_t row,
-                                  std::uint64_t key) const noexcept {
-  const std::uint64_t h = mix64(key ^ mix64(seed_ + row));
-  return row * width_ + static_cast<std::size_t>(h % width_);
-}
-
-void CountMinSketch::update(std::uint64_t key, std::uint64_t count) {
+  row_salts_.reserve(depth_);
   for (std::size_t row = 0; row < depth_; ++row) {
-    counters_[index(row, key)] += count;
+    row_salts_.push_back(mix64(seed_ + row));
   }
-  total_ += count;
+  reduce_ = FastMod(width_);
 }
 
 std::uint64_t CountMinSketch::estimate(std::uint64_t key) const {
@@ -102,20 +94,11 @@ int HyperLogLog::precision_for(double epsilon) {
 }
 
 HyperLogLog::HyperLogLog(int precision, std::uint64_t seed)
-    : precision_(precision), seed_(seed) {
+    : precision_(precision), seed_(seed), seed_mix_(mix64(seed)) {
   if (precision_ < 4 || precision_ > 18) {
     throw std::invalid_argument("hyperloglog precision must be in [4, 18]");
   }
   registers_.assign(std::size_t{1} << precision_, 0);
-}
-
-void HyperLogLog::add(std::uint64_t key) {
-  const std::uint64_t h = mix64(key ^ mix64(seed_));
-  const std::size_t idx = static_cast<std::size_t>(h >> (64 - precision_));
-  const std::uint64_t rest = h << precision_;
-  const std::uint8_t rank = static_cast<std::uint8_t>(
-      rest == 0 ? 64 - precision_ + 1 : std::countl_zero(rest) + 1);
-  registers_[idx] = std::max(registers_[idx], rank);
 }
 
 double HyperLogLog::standard_error() const noexcept {
@@ -159,40 +142,75 @@ std::uint64_t HyperLogLog::digest() const noexcept {
 }
 
 // ---------------------------------------------------------------------------
+// BucketStore
+
+void BucketStore::grow_to(std::int64_t low, std::int64_t high) {
+  constexpr std::int64_t kMinSlots = 128;
+  const std::int64_t lo = empty() ? low : std::min<std::int64_t>(low, lo_);
+  const std::int64_t hi = empty() ? high : std::max<std::int64_t>(high, hi_);
+  // Twice the held index range: a stream whose index keeps falling (or
+  // rising) doubles the range between reallocations, so growth is amortised
+  // O(1) per record, and the array never exceeds 2× the range it holds.
+  const std::int64_t slots = std::max(2 * (hi - lo + 1), kMinSlots);
+  const std::int64_t headroom = slots - (hi - lo + 1);
+  // Headroom goes on the side that overflowed (both sides when fresh).
+  std::int64_t base = lo;
+  if (empty()) {
+    base = lo - headroom / 2;
+  } else if (low < lo_) {
+    base = lo - headroom;
+  }
+  std::vector<std::uint64_t> grown(static_cast<std::size_t>(slots), 0);
+  if (!empty()) {
+    std::copy(counts_.begin() + (lo_ - base_),
+              counts_.begin() + (hi_ - base_ + 1), grown.begin() + (lo_ - base));
+  }
+  counts_ = std::move(grown);
+  base_ = base;
+}
+
+void BucketStore::merge(const BucketStore& other) {
+  if (other.empty()) return;
+  if (other.lo_ < base_ ||
+      other.hi_ >= base_ + static_cast<std::int64_t>(counts_.size())) {
+    grow_to(other.lo_, other.hi_);
+  }
+  const std::uint64_t* theirs =
+      other.counts_.data() + (other.lo_ - other.base_);
+  std::uint64_t* ours = counts_.data() + (other.lo_ - base_);
+  for (std::int64_t i = 0, n = other.hi_ - other.lo_ + 1; i < n; ++i) {
+    ours[i] += theirs[i];
+  }
+  lo_ = std::min(lo_, other.lo_);
+  hi_ = std::max(hi_, other.hi_);
+}
+
+bool operator==(const BucketStore& a, const BucketStore& b) {
+  if (a.empty() || b.empty()) return a.empty() == b.empty();
+  if (a.lo_ != b.lo_ || a.hi_ != b.hi_) return false;
+  return std::equal(a.counts_.begin() + (a.lo_ - a.base_),
+                    a.counts_.begin() + (a.hi_ - a.base_ + 1),
+                    b.counts_.begin() + (b.lo_ - b.base_));
+}
+
+// ---------------------------------------------------------------------------
 // QuantileSketch
 
 QuantileSketch::QuantileSketch(double alpha) : alpha_(alpha) {
-  if (!(alpha > 0.0) || alpha >= 1.0) {
-    throw std::invalid_argument("quantile alpha must be in (0, 1)");
+  if (!(alpha >= kMinAlpha) || alpha >= 1.0) {
+    throw std::invalid_argument("quantile alpha must be in [1e-3, 1)");
   }
   gamma_ = (1.0 + alpha) / (1.0 - alpha);
   log_gamma_ = std::log(gamma_);
 }
 
-std::int32_t QuantileSketch::bucket_index(double magnitude) const {
-  return static_cast<std::int32_t>(
-      std::ceil(std::log(magnitude) / log_gamma_));
-}
-
 double QuantileSketch::representative(std::int32_t index) const {
   // Midpoint (harmonic) of bucket (γ^(i−1), γ^i]: 2γ^i / (γ+1) — within α
-  // relative error of every value in the bucket.
-  return 2.0 * std::pow(gamma_, static_cast<double>(index)) / (gamma_ + 1.0);
-}
-
-void QuantileSketch::update(double value) {
-  ++count_;
-  // Magnitudes below the smallest representable bucket boundary collapse to
-  // the zero bucket (their absolute value is ≤ 1e-12; relative error on such
-  // answers is meaningless at double precision anyway).
-  const double magnitude = std::abs(value);
-  if (magnitude <= 1e-12) {
-    ++zero_count_;
-  } else if (value > 0.0) {
-    ++positive_[bucket_index(magnitude)];
-  } else {
-    ++negative_[bucket_index(magnitude)];
-  }
+  // relative error of every value in the bucket. Capped at DBL_MAX: the
+  // midpoint of the bucket holding DBL_MAX (and clamped ±inf) overflows.
+  return std::min(
+      2.0 * std::pow(gamma_, static_cast<double>(index)) / (gamma_ + 1.0),
+      kMaxMagnitude);
 }
 
 double QuantileSketch::quantile(double q) const {
@@ -203,22 +221,24 @@ double QuantileSketch::quantile(double q) const {
   std::uint64_t cumulative = 0;
   // Ascending value order: most-negative first (descending |v| index), then
   // zeros, then positives ascending.
-  for (auto it = negative_.rbegin(); it != negative_.rend(); ++it) {
-    cumulative += it->second;
-    if (static_cast<double>(cumulative) > target) {
-      return -representative(it->first);
+  // Empty buckets add nothing to the cumulative count, so they can never be
+  // the first to pass the target rank.
+  if (!negative_.empty()) {
+    for (std::int32_t i = negative_.highest(); i >= negative_.lowest(); --i) {
+      cumulative += negative_.at(i);
+      if (static_cast<double>(cumulative) > target) return -representative(i);
     }
   }
   cumulative += zero_count_;
   if (static_cast<double>(cumulative) > target) return 0.0;
-  for (const auto& [index, bucket_count] : positive_) {
-    cumulative += bucket_count;
-    if (static_cast<double>(cumulative) > target) {
-      return representative(index);
+  if (!positive_.empty()) {
+    for (std::int32_t i = positive_.lowest(); i <= positive_.highest(); ++i) {
+      cumulative += positive_.at(i);
+      if (static_cast<double>(cumulative) > target) return representative(i);
     }
   }
   // Numerically unreachable; return the largest representative for safety.
-  return positive_.empty() ? 0.0 : representative(positive_.rbegin()->first);
+  return positive_.empty() ? 0.0 : representative(positive_.highest());
 }
 
 void QuantileSketch::merge(const QuantileSketch& other) {
@@ -227,22 +247,28 @@ void QuantileSketch::merge(const QuantileSketch& other) {
   }
   count_ += other.count_;
   zero_count_ += other.zero_count_;
-  for (const auto& [index, bucket_count] : other.positive_) {
-    positive_[index] += bucket_count;
-  }
-  for (const auto& [index, bucket_count] : other.negative_) {
-    negative_[index] += bucket_count;
-  }
+  non_finite_ += other.non_finite_;
+  positive_.merge(other.positive_);
+  negative_.merge(other.negative_);
 }
 
 std::uint64_t QuantileSketch::digest() const noexcept {
   std::uint64_t acc = mix64(std::bit_cast<std::uint64_t>(alpha_));
-  for (const auto& [index, bucket_count] : positive_) {
-    acc = fold(acc, static_cast<std::uint64_t>(index) * 2 + 2, bucket_count);
-  }
-  for (const auto& [index, bucket_count] : negative_) {
-    acc = fold(acc, static_cast<std::uint64_t>(index) * 2 + 3, bucket_count);
-  }
+  const auto fold_store = [&acc](const BucketStore& store,
+                                 std::uint64_t sign_tag) {
+    if (store.empty()) return;
+    for (std::int32_t i = store.lowest(); i <= store.highest(); ++i) {
+      if (const std::uint64_t n = store.at(i); n != 0) {
+        acc = fold(acc, static_cast<std::uint64_t>(i) * 2 + sign_tag, n);
+      }
+    }
+  };
+  fold_store(positive_, 2);
+  fold_store(negative_, 3);
+  // Folded only when present, so NaN-free sketches keep the digest they had
+  // before non-finite values were counted. Tag 2^62 lies outside every
+  // bucket tag (index·2 + 2 or 3, mod 2^64, with |index| < 2^31).
+  if (non_finite_ != 0) acc = fold(acc, std::uint64_t{1} << 62, non_finite_);
   return mix64(acc ^ (count_ * 0x9e3779b97f4a7c15ULL) ^ zero_count_);
 }
 
